@@ -1,75 +1,9 @@
-"""Benchmark subsystem: workload generators, runner, JSON reporting.
+"""Seeded workload generators shared by the tests and ``perfbench/``.
 
-Measures the paper's headline trade-off — dynamic-programming labeling
-versus cold, warm, and eagerly precomputed automaton labeling — on four
-workload families (random tree forests, DAG-heavy forests, JIT-style
-recurring-shape streams, dynamic-constraint forests), the end-to-end
-selection *pipeline* (label + reduce + emit via ``select_many``) on
-four workloads including two reduce-focused families, the
-ahead-of-time selector path (``selector_aot``: compile/save/load cold
-start from disk versus in-process eager or on-demand builds, with
-selector build/save/load nanoseconds recorded), plus a grammar-size
-sweep charting on-demand versus eager table growth, and writes the
-trajectory to ``BENCH_selection.json``.
-
-Run it with ``python -m repro.bench`` (see ``--help`` for sizes/seed,
-and ``--baseline`` for the warm-path regression gate CI uses).
+The package holds only :mod:`repro.bench.workloads`: the bench grammars
+(static, constraint-based, emit-action) and the deterministic forest
+generators (random trees, DAG-heavy and shared-reduction forests,
+recurring-shape streams, dynamic-constraint forests, and the synthetic
+grammar-size sweep).  Import them from ``repro.bench.workloads``; the
+end-to-end benchmark lives in ``perfbench/``.
 """
-
-from repro.bench.runner import (
-    BenchConfig,
-    bench_pipeline_workload,
-    bench_selector_aot_workload,
-    run_grammar_sweep,
-    run_pipeline_bench,
-    run_selection_bench,
-    run_selector_aot_bench,
-    run_service_bench,
-    write_report,
-)
-from repro.bench.workloads import (
-    BENCH_GRAMMAR_TEXT,
-    EmitContext,
-    bench_grammar,
-    clone_forest,
-    dag_heavy_forest,
-    dag_heavy_forests,
-    dynamic_bench_grammar,
-    dynamic_constraint_forests,
-    emit_bench_grammar,
-    random_forests,
-    random_tree_forest,
-    recurring_shape_stream,
-    reduce_heavy_forests,
-    shared_reduction_forests,
-    synthetic_forests,
-    synthetic_grammar,
-)
-
-__all__ = [
-    "BENCH_GRAMMAR_TEXT",
-    "BenchConfig",
-    "EmitContext",
-    "bench_grammar",
-    "bench_pipeline_workload",
-    "bench_selector_aot_workload",
-    "clone_forest",
-    "dag_heavy_forest",
-    "dag_heavy_forests",
-    "dynamic_bench_grammar",
-    "dynamic_constraint_forests",
-    "emit_bench_grammar",
-    "random_forests",
-    "random_tree_forest",
-    "recurring_shape_stream",
-    "reduce_heavy_forests",
-    "run_grammar_sweep",
-    "run_pipeline_bench",
-    "run_selection_bench",
-    "run_selector_aot_bench",
-    "run_service_bench",
-    "shared_reduction_forests",
-    "synthetic_forests",
-    "synthetic_grammar",
-    "write_report",
-]

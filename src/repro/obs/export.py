@@ -143,8 +143,8 @@ def trace_summary(spans: Iterable[Span]) -> dict[str, Any]:
     durations of each span name.  ``per_tenant`` summarizes
     ``service.request`` spans grouped by their ``tenant`` attribute
     through :class:`Histogram` — the same class the service metrics
-    use, so these numbers match a bench report built from the same
-    requests.
+    use, so these numbers match the live service histograms of the
+    same requests.
     """
     groups = spans_by_name(spans)
     per_phase: dict[str, dict[str, Any]] = {}

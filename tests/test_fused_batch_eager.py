@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import (
+from repro.bench.workloads import (
     bench_grammar,
     dag_heavy_forests,
     dynamic_bench_grammar,

@@ -18,7 +18,12 @@ import warnings
 
 import pytest
 
-from repro.bench.workloads import bench_grammar, random_forests
+from repro.bench.workloads import (
+    bench_grammar,
+    dynamic_bench_grammar,
+    dynamic_constraint_forests,
+    random_forests,
+)
 from repro.obs import (
     NULL_OBS,
     Histogram,
@@ -304,6 +309,47 @@ def test_service_worker_metrics_cross_the_fork(tmp_path):
     ]
     rebuilt = Histogram.of([s.duration_ns for s in request_spans])
     assert rebuilt.snapshot() == histogram.snapshot()
+
+
+def test_trace_dump_percentiles_equal_the_live_service_histograms(tmp_path, capsys):
+    """A JSONL trace dump alone reproduces the service's per-tenant
+    request counts and p50/p99 exactly: same histogram class, same
+    buckets, and span duration == latency_ns."""
+    obs = Observability()
+    tenants = {"bench": bench_grammar(), "dyn": dynamic_bench_grammar()}
+    forests = {
+        "bench": random_forests(53, forests=2, statements=6, max_depth=4),
+        "dyn": dynamic_constraint_forests(54, forests=2, statements=6, max_depth=4),
+    }
+    config = ServiceConfig(workers=2, seed=5)
+    with SelectionService(tenants, tmp_path / "cache", config, obs=obs) as service:
+        futures = [
+            service.submit(tenant, forest)
+            for _ in range(3)
+            for tenant in ("bench", "bench", "dyn")
+            for forest in forests[tenant]
+        ]
+        assert all(future.result(60.0).ok for future in futures)
+
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, obs.tracer.spans())
+    summary = trace_summary(load_trace(path))
+    assert summary["per_phase"]["service.request"]["count"] == len(futures)
+    for tenant in tenants:
+        live = obs.metrics.histograms[
+            metric_key("service_request_latency_ns", {"tenant": tenant})
+        ]
+        rendered = summary["per_tenant"][tenant]
+        assert rendered["count"] == live.count
+        assert rendered["latency_p50_ns"] == live.quantile(0.50)
+        assert rendered["latency_p99_ns"] == live.quantile(0.99)
+    assert sum(row["count"] for row in summary["per_tenant"].values()) == len(futures)
+
+    assert obs_main(["render", str(path)]) == 0
+    assert "service.request" in capsys.readouterr().out
+    prom = to_prometheus(obs.metrics)
+    assert "# TYPE service_request_latency_ns histogram" in prom
+    assert 'service_requests_total{status="ok",tenant="bench"} 12' in prom
 
 
 def test_service_disabled_observability_reports_none(tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import (
+from repro.bench.workloads import (
     EmitContext,
     bench_grammar,
     dag_heavy_forests,

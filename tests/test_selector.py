@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from repro.bench import (
+from repro.bench.workloads import (
     EmitContext,
     bench_grammar,
     dag_heavy_forests,
